@@ -8,13 +8,12 @@
 //! Canned subcommands render stdout byte-identically to the binaries
 //! they replaced (pinned by `tests/plan_equivalence.rs`); machine
 //! consumers attach `--json` (JSON-lines) or `--csv` record sinks.
-//!
-//! The old `MOT3D_SCALE` / `MOT3D_THREADS` / `MOT3D_BENCH_JSON`
-//! environment variables keep working as **deprecated fallbacks** for
-//! `--scale` / `--threads` / `--bench-json`.
+//! Every plan — traced (`sweep --trace`, `trace`) or not — runs through
+//! one [`Ctx::run_plan`] on the worker pool. Configuration comes from
+//! flags only; no environment variable is read.
 
 use crate::axes;
-use crate::experiments::{self, ExperimentScale};
+use crate::experiments::{self, ExperimentScale, Fig7Row};
 use crate::perf::Recorder;
 use crate::plan::{ExperimentPlan, RunRecord};
 use crate::pool;
@@ -25,6 +24,7 @@ use mot3d_mot::PowerState;
 use mot3d_sim::InterconnectChoice;
 use mot3d_workloads::SplashBenchmark;
 use std::io;
+use std::path::Path;
 
 /// Entry point for the `mot3d` binary: parses `args` (without the
 /// program name), executes the subcommand, and returns the process
@@ -129,14 +129,11 @@ COMMANDS:
 
 OPTIONS (all commands):
   --scale <factor|tiny>  run-length factor, default 0.35
-                         (deprecated fallback: MOT3D_SCALE)
   --threads <n>          worker threads, default = available parallelism
-                         (deprecated fallback: MOT3D_THREADS)
   --seed <u64>           workload seed override
   --json <path>          stream every simulated run as JSON-lines records
   --csv <path>           stream every simulated run as CSV rows
   --bench-json <path>    write the perf-trajectory document
-                         (deprecated fallback: MOT3D_BENCH_JSON)
                          (sink options need a simulating command, i.e.
                          not table1/fig5)
 
@@ -149,8 +146,8 @@ SWEEP OPTIONS (comma-separated lists; `all` expands an axis):
   --page <flat|open|both>    DRAM page-policy axis
   --repeat <n>               runs per grid cell (each repeat reseeds)
   --trace <dir>              write one Perfetto-loadable trace file per run
-                             into <dir> (sweep runs serially; also the
-                             output directory for `mot3d trace`)
+                             into <dir> (also the output directory for
+                             `mot3d trace`)
 
 EXAMPLES:
   mot3d fig7 --scale 0.35 --threads 8 --json fig7.jsonl
@@ -263,12 +260,13 @@ fn dram_label(dram: DramKind) -> &'static str {
 }
 
 /// Everything a subcommand needs to run plans uniformly: the resolved
-/// scale, the optional thread pin, the perf recorder, and the file
-/// sinks shared by every plan of the invocation.
+/// scale, the optional thread pin and trace directory, the perf
+/// recorder, and the file sinks shared by every plan of the invocation.
 struct Ctx {
     scale: ExperimentScale,
     seed_overridden: bool,
     threads: Option<usize>,
+    trace_dir: Option<String>,
     banner_threads: usize,
     recorder: Recorder,
     json_sink: Option<JsonLinesSink<AtomicFile>>,
@@ -294,32 +292,10 @@ fn max_jobs(cmd: Cmd) -> usize {
 
 impl Ctx {
     fn new(cmd: Cmd, opts: &Options) -> io::Result<Self> {
-        let mut scale = match opts.scale {
-            Some(s) => s,
-            None => {
-                if std::env::var_os("MOT3D_SCALE").is_some() {
-                    eprintln!("note: MOT3D_SCALE is deprecated; prefer `mot3d <cmd> --scale <s>`");
-                }
-                ExperimentScale::from_env()
-            }
-        };
+        let mut scale = opts.scale.unwrap_or_default();
         if let Some(seed) = opts.seed {
             scale.seed = seed;
         }
-        if opts.threads.is_none() && std::env::var_os("MOT3D_THREADS").is_some() {
-            eprintln!("note: MOT3D_THREADS is deprecated; prefer `mot3d <cmd> --threads <n>`");
-        }
-        if opts.bench_json.is_none() && std::env::var_os("MOT3D_BENCH_JSON").is_some() {
-            eprintln!(
-                "note: MOT3D_BENCH_JSON is deprecated; prefer `mot3d <cmd> --bench-json <path>`"
-            );
-        }
-        let banner_threads = match opts.threads {
-            Some(t) => t,
-            None => experiments::sweep_threads(),
-        }
-        .min(max_jobs(cmd))
-        .max(1);
         let json_sink = match &opts.json {
             Some(path) => Some(JsonLinesSink::create(path)?),
             None => None,
@@ -328,22 +304,30 @@ impl Ctx {
             Some(path) => Some(CsvSink::create(path)?),
             None => None,
         };
-        Ok(Ctx {
+        let mut ctx = Ctx {
             scale,
             seed_overridden: opts.seed.is_some(),
             threads: opts.threads,
-            banner_threads,
-            recorder: Recorder::new(scale.scale, banner_threads),
+            // `mot3d trace` always traces (into `.` by default).
+            trace_dir: match cmd {
+                Cmd::Trace => Some(opts.trace.clone().unwrap_or_else(|| ".".to_string())),
+                _ => opts.trace.clone(),
+            },
+            banner_threads: 1,
+            recorder: Recorder::new(scale.scale, 1),
             json_sink,
             csv_sink,
             json: opts.json.clone(),
             csv: opts.csv.clone(),
             bench_json: opts.bench_json.clone(),
-        })
+        };
+        ctx.clamp_threads(max_jobs(cmd));
+        Ok(ctx)
     }
 
-    /// Re-clamps the reported worker count once an ad-hoc grid's job
-    /// count is known, keeping the banner and the perf record honest.
+    /// Clamps the reported worker count to a grid of `jobs` runs (an
+    /// ad-hoc grid's is known only once its plan is built), keeping the
+    /// banner and the perf record honest.
     fn clamp_threads(&mut self, jobs: usize) {
         self.banner_threads = match self.threads {
             Some(t) => t.min(jobs.max(1)),
@@ -353,12 +337,12 @@ impl Ctx {
     }
 
     /// Runs one plan through the invocation's sinks (+ a perf record
-    /// under `perf_name`, + an optional subcommand-specific sink),
-    /// streaming per-run progress lines to stderr when `stream` is set.
+    /// under the plan's name, + an optional subcommand-specific sink),
+    /// streaming per-run progress lines to stderr when `stream` is set,
+    /// and tracing every point into the trace directory when one is set.
     fn run_plan(
         &mut self,
         plan: ExperimentPlan,
-        perf_name: Option<&str>,
         stream: bool,
         extra: Option<&mut dyn RecordSink>,
     ) -> io::Result<Vec<RunRecord>> {
@@ -366,7 +350,7 @@ impl Ctx {
             Some(t) => plan.threads(t),
             None => plan,
         };
-        let mut perf = perf_name.map(|name| PerfSink::new(&mut self.recorder, name));
+        let mut perf = PerfSink::new(&mut self.recorder, plan.name());
         let mut sinks: Vec<&mut dyn RecordSink> = Vec::new();
         if let Some(json) = self.json_sink.as_mut() {
             sinks.push(json);
@@ -374,57 +358,29 @@ impl Ctx {
         if let Some(csv) = self.csv_sink.as_mut() {
             sinks.push(csv);
         }
-        if let Some(perf) = perf.as_mut() {
-            sinks.push(perf);
-        }
+        sinks.push(&mut perf);
         if let Some(extra) = extra {
             sinks.push(extra);
         }
-        if stream {
-            plan.run_with(&mut sinks, report::stream_progress)
-        } else {
-            plan.run_with(&mut sinks, |_, _, _| {})
-        }
-    }
-
-    /// [`Ctx::run_plan`] with the timeline tracer attached: one
-    /// Perfetto-loadable file per point into `trace_dir`, runs serial.
-    /// Returns each record with its trace file path.
-    fn run_plan_traced(
-        &mut self,
-        plan: ExperimentPlan,
-        perf_name: Option<&str>,
-        stream: bool,
-        extra: Option<&mut dyn RecordSink>,
-        trace_dir: &str,
-    ) -> io::Result<Vec<(RunRecord, std::path::PathBuf)>> {
-        let mut perf = perf_name.map(|name| PerfSink::new(&mut self.recorder, name));
-        let mut sinks: Vec<&mut dyn RecordSink> = Vec::new();
-        if let Some(json) = self.json_sink.as_mut() {
-            sinks.push(json);
-        }
-        if let Some(csv) = self.csv_sink.as_mut() {
-            sinks.push(csv);
-        }
-        if let Some(perf) = perf.as_mut() {
-            sinks.push(perf);
-        }
-        if let Some(extra) = extra {
-            sinks.push(extra);
-        }
-        let dir = std::path::Path::new(trace_dir);
-        if stream {
-            plan.run_traced_with(dir, &mut sinks, report::stream_progress)
-        } else {
-            plan.run_traced_with(dir, &mut sinks, |_, _, _| {})
+        let progress = |done: usize, total: usize, label: &str| {
+            if stream {
+                report::stream_progress(done, total, label);
+            }
+        };
+        match &self.trace_dir {
+            Some(dir) => Ok(plan
+                .run_traced_with(Path::new(dir), &mut sinks, progress)?
+                .into_iter()
+                .map(|(record, _)| record)
+                .collect()),
+            None => plan.run_with(&mut sinks, progress),
         }
     }
 
     /// Persists the record files (atomic rename into their final
-    /// names), writes the perf-trajectory document (`--bench-json`, or
-    /// the deprecated `MOT3D_BENCH_JSON`), and notes the paths. The
-    /// sinks span every plan of the invocation (`mot3d all` runs
-    /// several), so this runs once at the very end.
+    /// names), writes the perf-trajectory document (`--bench-json`), and
+    /// notes the paths. The sinks span every plan of the invocation
+    /// (`mot3d all` runs several), so this runs once at the very end.
     fn finish(&mut self) -> io::Result<()> {
         if let Some(sink) = self.json_sink.take() {
             sink.persist()?;
@@ -432,13 +388,13 @@ impl Ctx {
         if let Some(sink) = self.csv_sink.take() {
             sink.persist()?;
         }
-        if !self.recorder.sweeps().is_empty() {
-            if let Some(path) = &self.bench_json {
-                std::fs::write(path, self.recorder.to_json())?;
-                eprintln!("bench results written to {path}");
-            } else {
-                self.recorder.write_if_requested();
-            }
+        if let Some(path) = self
+            .bench_json
+            .as_ref()
+            .filter(|_| !self.recorder.sweeps().is_empty())
+        {
+            std::fs::write(path, self.recorder.to_json())?;
+            eprintln!("bench results written to {path}");
         }
         if let Some(path) = &self.json {
             eprintln!("run records written to {path}");
@@ -448,11 +404,18 @@ impl Ctx {
         }
         Ok(())
     }
+
+    /// The stderr line a figure subcommand opens with.
+    fn banner(&self, what: &str) {
+        eprintln!(
+            "running {what} at scale {} on {} threads (--scale / --threads to change)...",
+            self.scale.scale, self.banner_threads,
+        );
+    }
 }
 
 fn execute(cmd: Cmd, opts: &Options) -> io::Result<()> {
     let mut ctx = Ctx::new(cmd, opts)?;
-    let scale = ctx.scale;
     match cmd {
         Cmd::Table1 => {
             print!("{}", report::render_table1(&experiments::table1()));
@@ -461,84 +424,22 @@ fn execute(cmd: Cmd, opts: &Options) -> io::Result<()> {
             print!("{}", report::render_fig5(&experiments::fig5()));
         }
         Cmd::Fig6 => {
-            eprintln!(
-                "running Fig. 6 at scale {} on {} threads (--scale / --threads to change)...",
-                scale.scale, ctx.banner_threads,
-            );
-            let records = ctx.run_plan(ExperimentPlan::fig6(scale), Some("fig6"), true, None)?;
-            print!("{}", report::render_fig6(&experiments::fig6_rows(&records)));
+            ctx.banner("Fig. 6");
+            fig6(&mut ctx, true)?;
         }
         Cmd::Fig7 => {
-            eprintln!(
-                "running Fig. 7 at scale {} on {} threads (--scale / --threads to change)...",
-                scale.scale, ctx.banner_threads,
-            );
-            let records =
-                ctx.run_plan(ExperimentPlan::fig7(scale), Some("fig7@200ns"), true, None)?;
-            let rows = experiments::fig7_rows(&records);
-            print!("{}", report::render_fig7(&rows, "200 ns"));
-            println!();
-            print!("{}", report::render_fig7_claims(&rows));
+            ctx.banner("Fig. 7");
+            fig7(&mut ctx, true)?;
         }
         Cmd::Fig8 => {
-            eprintln!(
-                "running Fig. 8 at scale {} on {} threads (--scale / --threads to change)...",
-                scale.scale, ctx.banner_threads,
-            );
-            let at_63 = ctx.run_plan(
-                ExperimentPlan::fig8_at(scale, DramKind::WideIo),
-                Some("fig8@63ns"),
-                true,
-                None,
-            )?;
-            let at_42 = ctx.run_plan(
-                ExperimentPlan::fig8_at(scale, DramKind::Weis3d),
-                Some("fig8@42ns"),
-                true,
-                None,
-            )?;
-            print!(
-                "{}",
-                report::render_fig7(
-                    &experiments::fig7_rows(&at_63),
-                    dram_label(DramKind::WideIo)
-                )
-            );
-            println!();
-            print!(
-                "{}",
-                report::render_fig7(
-                    &experiments::fig7_rows(&at_42),
-                    dram_label(DramKind::Weis3d)
-                )
-            );
-            println!();
-            let open = ctx.run_plan(
-                ExperimentPlan::open_page_at(scale, DramKind::OffChipDdr3),
-                Some("open_page@200ns"),
-                false,
-                None,
-            )?;
-            print!(
-                "{}",
-                report::render_open_page(&experiments::open_page_rows(&open), "200 ns")
-            );
+            ctx.banner("Fig. 8");
+            fig8_at(&mut ctx, DramKind::WideIo, true)?;
+            fig8_at(&mut ctx, DramKind::Weis3d, true)?;
+            open_page(&mut ctx, false)?;
         }
         Cmd::OpenPage => {
-            eprintln!(
-                "running the open-page sweep at scale {} on {} threads (--scale / --threads to change)...",
-                scale.scale, ctx.banner_threads,
-            );
-            let open = ctx.run_plan(
-                ExperimentPlan::open_page_at(scale, DramKind::OffChipDdr3),
-                Some("open_page@200ns"),
-                true,
-                None,
-            )?;
-            print!(
-                "{}",
-                report::render_open_page(&experiments::open_page_rows(&open), "200 ns")
-            );
+            ctx.banner("the open-page sweep");
+            open_page(&mut ctx, true)?;
         }
         Cmd::Ablation => ablation(&mut ctx)?,
         Cmd::All => all(&mut ctx)?,
@@ -548,13 +449,50 @@ fn execute(cmd: Cmd, opts: &Options) -> io::Result<()> {
     ctx.finish()
 }
 
+/// Runs Fig. 6 and prints its table.
+fn fig6(ctx: &mut Ctx, stream: bool) -> io::Result<()> {
+    let records = ctx.run_plan(ExperimentPlan::fig6(ctx.scale), stream, None)?;
+    print!("{}", report::render_fig6(&experiments::fig6_rows(&records)));
+    Ok(())
+}
+
+/// Runs Fig. 7 (200 ns DRAM) and prints its table and claim lines.
+fn fig7(ctx: &mut Ctx, stream: bool) -> io::Result<()> {
+    let records = ctx.run_plan(ExperimentPlan::fig7(ctx.scale), stream, None)?;
+    let rows = experiments::fig7_rows(&records);
+    print!("{}", report::render_fig7(&rows, "200 ns"));
+    println!();
+    print!("{}", report::render_fig7_claims(&rows));
+    Ok(())
+}
+
+/// Runs one half of Fig. 8 and prints its table plus a blank line;
+/// returns the rows (`all` prints the 63 ns claim lines from them).
+fn fig8_at(ctx: &mut Ctx, dram: DramKind, stream: bool) -> io::Result<Vec<Fig7Row>> {
+    let records = ctx.run_plan(ExperimentPlan::fig8_at(ctx.scale, dram), stream, None)?;
+    let rows = experiments::fig7_rows(&records);
+    print!("{}", report::render_fig7(&rows, dram_label(dram)));
+    println!();
+    Ok(rows)
+}
+
+/// Runs the open-page study (200 ns DRAM) and prints its table.
+fn open_page(ctx: &mut Ctx, stream: bool) -> io::Result<()> {
+    let plan = ExperimentPlan::open_page_at(ctx.scale, DramKind::OffChipDdr3);
+    let records = ctx.run_plan(plan, stream, None)?;
+    print!(
+        "{}",
+        report::render_open_page(&experiments::open_page_rows(&records), "200 ns")
+    );
+    Ok(())
+}
+
 /// `mot3d all`: every experiment, EXPERIMENTS.md-ready (byte-identical
 /// to the legacy `all` binary).
 fn all(ctx: &mut Ctx) -> io::Result<()> {
-    let scale = ctx.scale;
     eprintln!(
         "running all experiments at scale {} on {} threads ...",
-        scale.scale, ctx.banner_threads,
+        ctx.scale.scale, ctx.banner_threads,
     );
 
     println!("== Table I ==");
@@ -563,57 +501,18 @@ fn all(ctx: &mut Ctx) -> io::Result<()> {
     print!("{}", report::render_fig5(&experiments::fig5()));
 
     println!("\n== Fig. 6 ==");
-    let f6 = ctx.run_plan(ExperimentPlan::fig6(scale), Some("fig6"), false, None)?;
-    print!("{}", report::render_fig6(&experiments::fig6_rows(&f6)));
+    fig6(ctx, false)?;
 
     println!("\n== Fig. 7 (200 ns DRAM) ==");
-    let f7 = ctx.run_plan(ExperimentPlan::fig7(scale), Some("fig7@200ns"), false, None)?;
-    let rows7 = experiments::fig7_rows(&f7);
-    print!("{}", report::render_fig7(&rows7, "200 ns"));
-    println!();
-    print!("{}", report::render_fig7_claims(&rows7));
+    fig7(ctx, false)?;
 
     println!("\n== Fig. 8 ==");
-    let at_63 = ctx.run_plan(
-        ExperimentPlan::fig8_at(scale, DramKind::WideIo),
-        Some("fig8@63ns"),
-        false,
-        None,
-    )?;
-    let at_42 = ctx.run_plan(
-        ExperimentPlan::fig8_at(scale, DramKind::Weis3d),
-        Some("fig8@42ns"),
-        false,
-        None,
-    )?;
-    let rows63 = experiments::fig7_rows(&at_63);
-    print!(
-        "{}",
-        report::render_fig7(&rows63, dram_label(DramKind::WideIo))
-    );
-    println!();
-    print!(
-        "{}",
-        report::render_fig7(
-            &experiments::fig7_rows(&at_42),
-            dram_label(DramKind::Weis3d)
-        )
-    );
-    println!();
+    let rows63 = fig8_at(ctx, DramKind::WideIo, false)?;
+    fig8_at(ctx, DramKind::Weis3d, false)?;
     print!("{}", report::render_fig7_claims(&rows63));
 
     println!("\n== Open-page DRAM ==");
-    let open = ctx.run_plan(
-        ExperimentPlan::open_page_at(scale, DramKind::OffChipDdr3),
-        Some("open_page@200ns"),
-        false,
-        None,
-    )?;
-    print!(
-        "{}",
-        report::render_open_page(&experiments::open_page_rows(&open), "200 ns")
-    );
-    Ok(())
+    open_page(ctx, false)
 }
 
 /// `mot3d ablation`: the sensitivity studies beyond the paper's four
@@ -637,8 +536,7 @@ fn ablation(ctx: &mut Ctx) -> io::Result<()> {
         } else {
             ExperimentPlan::ablation_grid(scale, bench)
         };
-        let perf_name = format!("ablation@{bench}");
-        let records = ctx.run_plan(grid, Some(&perf_name), false, None)?;
+        let records = ctx.run_plan(grid, false, None)?;
         let full = records[0].clone();
         for rec in &records {
             let state = rec.point.config.power_state;
@@ -653,16 +551,7 @@ fn ablation(ctx: &mut Ctx) -> io::Result<()> {
     }
 
     println!("\n== Ablation 2: flat vs open-page DRAM (Full connection) ==");
-    let open = ctx.run_plan(
-        ExperimentPlan::open_page_at(scale, DramKind::OffChipDdr3),
-        Some("open_page@200ns"),
-        false,
-        None,
-    )?;
-    print!(
-        "{}",
-        report::render_open_page(&experiments::open_page_rows(&open), "200 ns")
-    );
+    open_page(ctx, false)?;
 
     println!("\n== Ablation 3: derived MoT latency by technology node ==");
     println!("{:<16} {:>10} {:>10}", "state", "45nm-LP", "65nm-LP");
@@ -710,27 +599,25 @@ fn grid_plan(name: &str, ctx: &Ctx, opts: &Options) -> io::Result<ExperimentPlan
 }
 
 /// `mot3d sweep`: an ad-hoc declarative grid rendered through the
-/// generic table sink. With `--trace <dir>` the grid runs serially with
-/// the timeline tracer attached, one file per point.
+/// generic table sink. With `--trace <dir>` every point also writes its
+/// timeline, one file per point.
 fn sweep(ctx: &mut Ctx, opts: &Options) -> io::Result<()> {
     let plan = grid_plan("sweep", ctx, opts)?;
     let jobs = plan.len();
     let mut table = TableSink::new(io::stdout());
-    if let Some(dir) = opts.trace.clone() {
-        ctx.clamp_threads(1);
-        eprintln!(
-            "running sweep: {} runs at scale {} serially with tracing ...",
-            jobs, ctx.scale.scale,
-        );
-        ctx.run_plan_traced(plan, Some("sweep"), true, Some(&mut table), &dir)?;
-        eprintln!("trace files written to {dir}");
+    ctx.clamp_threads(jobs);
+    let tracing = if ctx.trace_dir.is_some() {
+        " with tracing"
     } else {
-        ctx.clamp_threads(jobs);
-        eprintln!(
-            "running sweep: {} runs at scale {} on {} threads ...",
-            jobs, ctx.scale.scale, ctx.banner_threads,
-        );
-        ctx.run_plan(plan, Some("sweep"), true, Some(&mut table))?;
+        ""
+    };
+    eprintln!(
+        "running sweep: {} runs at scale {} on {} threads{tracing} ...",
+        jobs, ctx.scale.scale, ctx.banner_threads,
+    );
+    ctx.run_plan(plan, true, Some(&mut table))?;
+    if let Some(dir) = &ctx.trace_dir {
+        eprintln!("trace files written to {dir}");
     }
     Ok(())
 }
@@ -750,16 +637,15 @@ fn trace_point(ctx: &mut Ctx, opts: &Options) -> io::Result<()> {
             ),
         ));
     }
-    let dir = opts.trace.clone().unwrap_or_else(|| ".".to_string());
-    ctx.clamp_threads(1);
-    let records = ctx.run_plan_traced(plan, Some("trace"), false, None, &dir)?;
-    let (record, path) = &records[0];
+    let record = ctx.run_plan(plan, false, None)?.remove(0);
     eprintln!(
         "{}: {} cycles, {:.3} IPC",
         record.point.label(),
         record.metrics.cycles,
         record.derived.ipc,
     );
+    let dir = Path::new(ctx.trace_dir.as_deref().unwrap_or("."));
+    let path = dir.join(mot3d_trace::trace_file_name(&record.point.label()));
     println!("{}", path.display());
     eprintln!("open it at https://ui.perfetto.dev (or chrome://tracing)");
     Ok(())

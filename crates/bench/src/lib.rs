@@ -34,9 +34,10 @@
 //!
 //! `--json <path>` / `--csv <path>` attach machine-readable record
 //! sinks; `--bench-json <path>` writes per-sweep perf timings
-//! ([`perf`]) for the trajectory tracking described in the README. The
-//! pre-CLI environment variables (`MOT3D_SCALE`, `MOT3D_THREADS`,
-//! `MOT3D_BENCH_JSON`) remain supported as deprecated fallbacks.
+//! ([`perf`]) for the trajectory tracking described in the README.
+//! `--trace <dir>` runs the same plans with the timeline tracer
+//! attached, on the same worker pool. Configuration comes from flags
+//! only: the library reads no environment variables.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -52,7 +53,7 @@ pub mod report;
 pub mod sink;
 
 pub use experiments::{
-    fig5, fig6, fig7, fig7_at, open_page_at, table1, ExperimentScale, Fig5Row, Fig6Row, Fig7Row,
+    fig5, fig6_rows, fig7_rows, open_page_rows, table1, ExperimentScale, Fig5Row, Fig6Row, Fig7Row,
     OpenPageRow, Table1Row,
 };
 pub use plan::{ExperimentPlan, RunPoint, RunRecord};

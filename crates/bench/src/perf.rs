@@ -1,17 +1,15 @@
-//! Machine-readable performance tracking (`MOT3D_BENCH_JSON`).
+//! Machine-readable performance tracking (`mot3d … --bench-json`).
 //!
-//! The experiment binaries time every sweep they run; when the
-//! `MOT3D_BENCH_JSON` environment variable names a path, they write a
-//! small JSON document there — per-sweep wall-clock, run scale, worker
-//! thread count, and an FNV-1a checksum of each rendered table. The
-//! checksum pins *what* was computed (bit-identical tables hash equal),
-//! so a perf trajectory assembled from these files can tell a genuine
-//! regression apart from a workload change. CI uploads the file as an
-//! artifact; see README "Performance".
-//!
-//! No external dependencies: the JSON is assembled by hand (the schema
-//! is flat), keeping the offline build self-contained.
+//! The `mot3d` CLI times every sweep it runs; given `--bench-json
+//! <path>` it writes a small JSON document there — per-sweep wall-clock,
+//! run scale, worker thread count, and an FNV-1a checksum of each
+//! sweep's record stream. The checksum pins *what* was computed
+//! (bit-identical streams hash equal), so a perf trajectory assembled
+//! from these files can tell a genuine regression apart from a workload
+//! change. `mot3d perf check` ([`crate::perfcheck`]) reads the document
+//! back; see README "Performance".
 
+use mot3d_phys::json;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -24,7 +22,7 @@ pub struct SweepRecord {
     pub wall_s: f64,
     /// Result rows produced.
     pub rows: usize,
-    /// FNV-1a 64-bit hex checksum of the rendered table.
+    /// FNV-1a 64-bit hex checksum of the sweep's record stream.
     pub checksum: String,
 }
 
@@ -38,7 +36,7 @@ pub struct SweepRecord {
 /// use std::time::Duration;
 ///
 /// let mut rec = Recorder::new(0.35, 4);
-/// rec.add("fig7@200ns", Duration::from_millis(1860), 8, "table text");
+/// rec.add_raw("fig7@200ns", Duration::from_millis(1860), 8, 0xdead_beef);
 /// let json = rec.to_json();
 /// assert!(json.contains("\"fig7@200ns\""));
 /// assert!(json.contains("\"threads\": 4"));
@@ -68,14 +66,8 @@ impl Recorder {
     }
 
     /// Records one finished sweep: its wall-clock time, row count, and
-    /// the rendered table it produced (checksummed, not stored).
-    pub fn add(&mut self, name: &str, wall: Duration, rows: usize, rendered_table: &str) {
-        self.add_raw(name, wall, rows, fnv1a64(rendered_table.as_bytes()));
-    }
-
-    /// [`Recorder::add`] with a precomputed FNV-1a checksum — used by
-    /// [`crate::sink::PerfSink`], which folds the checksum incrementally
-    /// over the record stream instead of a rendered table.
+    /// the FNV-1a checksum [`crate::sink::PerfSink`] folds over its
+    /// record stream.
     pub fn add_raw(&mut self, name: &str, wall: Duration, rows: usize, checksum: u64) {
         self.sweeps.push(SweepRecord {
             name: name.to_string(),
@@ -103,7 +95,7 @@ impl Recorder {
             let _ = writeln!(
                 out,
                 "    {{\"name\": {}, \"wall_s\": {:.6}, \"rows\": {}, \"checksum\": \"{}\"}}{}",
-                json_string(&s.name),
+                json::json_string(&s.name),
                 s.wall_s,
                 s.rows,
                 s.checksum,
@@ -114,124 +106,67 @@ impl Recorder {
         let _ = writeln!(out, "}}");
         out
     }
-
-    /// Writes the JSON to the path named by `MOT3D_BENCH_JSON`, if set.
-    /// Returns the path written, or `None` when the variable is unset.
-    /// I/O errors are reported to stderr but never fail the run — perf
-    /// tracking must not break result generation.
-    pub fn write_if_requested(&self) -> Option<String> {
-        let path = std::env::var("MOT3D_BENCH_JSON").ok()?;
-        if path.is_empty() {
-            return None;
-        }
-        match std::fs::write(&path, self.to_json()) {
-            Ok(()) => {
-                eprintln!("bench results written to {path}");
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("could not write MOT3D_BENCH_JSON={path}: {e}");
-                None
-            }
-        }
-    }
-}
-
-/// The FNV-1a 64-bit offset basis (re-exported from the workspace's
-/// single FNV implementation in `mot3d_phys::fnv`, which the
-/// deterministic hash collections also use).
-pub(crate) use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
-
-/// FNV-1a over bytes: tiny, dependency-free, stable across platforms.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_fold(FNV_OFFSET, bytes)
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
 
     #[test]
     fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        // Standard FNV-1a 64 test vectors, rendered as the zero-padded
+        // hex the baseline stores.
+        let mut rec = Recorder::new(0.35, 1);
+        for bytes in [&b""[..], b"a", b"foobar"] {
+            rec.add_raw("x", Duration::ZERO, 0, fnv1a64_fold(FNV_OFFSET, bytes));
+        }
+        let sums: Vec<&str> = rec.sweeps().iter().map(|s| s.checksum.as_str()).collect();
+        assert_eq!(
+            sums,
+            ["cbf29ce484222325", "af63dc4c8601ec8c", "85944171f73967e8"]
+        );
     }
 
     #[test]
     fn identical_tables_hash_equal_different_tables_do_not() {
-        let mut a = Recorder::new(0.35, 1);
-        a.add("x", Duration::from_secs(1), 8, "table");
-        let mut b = Recorder::new(0.35, 1);
-        b.add("x", Duration::from_secs(2), 8, "table"); // time differs
-        assert_eq!(a.sweeps()[0].checksum, b.sweeps()[0].checksum);
-        let mut c = Recorder::new(0.35, 1);
-        c.add("x", Duration::from_secs(1), 8, "other table");
-        assert_ne!(a.sweeps()[0].checksum, c.sweeps()[0].checksum);
+        let mut rec = Recorder::new(0.35, 1);
+        let hash = |table: &str| fnv1a64_fold(FNV_OFFSET, table.as_bytes());
+        rec.add_raw("x", Duration::from_secs(1), 8, hash("table"));
+        rec.add_raw("x", Duration::from_secs(2), 8, hash("table")); // time differs
+        rec.add_raw("x", Duration::from_secs(1), 8, hash("other table"));
+        let s = rec.sweeps();
+        assert_eq!(s[0].checksum, s[1].checksum);
+        assert_ne!(s[0].checksum, s[2].checksum);
     }
 
     #[test]
     fn json_is_well_formed_and_complete() {
         let mut rec = Recorder::new(0.004, 4);
-        rec.add("fig6", Duration::from_millis(120), 8, "t1");
-        rec.add("fig7@200ns", Duration::from_millis(340), 8, "t2");
-        let json = rec.to_json();
-        // Flat schema: balanced braces/brackets, all fields present.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for needle in [
-            "\"schema\": 1",
-            "\"scale\": 0.004",
-            "\"threads\": 4",
-            "\"fig6\"",
-            "\"fig7@200ns\"",
-            "\"rows\": 8",
-            "\"checksum\"",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        // Exactly one trailing comma between the two sweep objects.
+        rec.add_raw("fig6", Duration::from_millis(120), 8, 1);
+        rec.add_raw("fig7@200ns", Duration::from_millis(340), 8, 2);
+        let doc = json::parse(&rec.to_json()).unwrap();
+        assert_eq!(doc.get("schema").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(doc.get("scale").and_then(|v| v.num_text()), Some("0.004"));
+        assert_eq!(doc.get("threads").and_then(|v| v.as_u64()), Some(4));
+        let sweeps = doc.get("sweeps").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(sweeps.len(), 2);
         assert_eq!(
-            json.matches("}},").count() + json.matches("\"}},").count(),
-            0
+            sweeps[1].get("name").and_then(|v| v.as_str()),
+            Some("fig7@200ns")
+        );
+        assert_eq!(sweeps[1].get("rows").and_then(|v| v.as_u64()), Some(8));
+        assert_eq!(
+            sweeps[1].get("checksum").and_then(|v| v.as_str()),
+            Some("0000000000000002")
         );
     }
 
     #[test]
     fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("plain"), "\"plain\"");
-    }
-
-    #[test]
-    fn unset_env_writes_nothing() {
-        // (Cannot set the var here without racing parallel tests; the
-        // unset path must simply return None.)
-        let rec = Recorder::new(1.0, 1);
-        if std::env::var("MOT3D_BENCH_JSON").is_err() {
-            assert_eq!(rec.write_if_requested(), None);
-        }
+        let mut rec = Recorder::new(1.0, 1);
+        rec.add_raw("a\"b\\c\nd", Duration::ZERO, 0, 0);
+        let json = rec.to_json();
+        assert!(json.contains("\"a\\\"b\\\\c\\nd\""), "{json}");
     }
 }

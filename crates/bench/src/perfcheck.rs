@@ -16,16 +16,16 @@
 //!   checksum-only at tiny scale — wall time on shared runners is
 //!   noise, but bit-identical reruns are not negotiable.
 //!
-//! The baseline parser is deliberately minimal: it reads the flat
-//! schema-1 documents [`crate::perf::Recorder::to_json`] writes (and
-//! nothing more general), keeping the build offline and free of a JSON
-//! dependency.
+//! The baseline is read with the workspace's JSON parser
+//! ([`mot3d_phys::json`]), so any sweep name `Recorder` can write reads
+//! back verbatim.
 
 use crate::experiments::ExperimentScale;
 use crate::perf::{Recorder, SweepRecord};
 use crate::plan::ExperimentPlan;
 use crate::sink::{PerfSink, RecordSink};
 use mot3d_mem::dram::DramKind;
+use mot3d_phys::json::{self, JsonValue};
 
 /// A parsed `BENCH_results.json` document.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,84 +45,43 @@ pub struct Baseline {
 ///
 /// Returns a message naming the missing or malformed field.
 pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let schema = extract_num(text, "schema").ok_or("missing \"schema\"")?;
-    if schema != 1.0 {
+    let doc = json::parse(text)?;
+    let schema = member(&doc, "schema", "an unsigned integer", JsonValue::as_u64)?;
+    if schema != 1 {
         return Err(format!("unsupported schema {schema} (expected 1)"));
     }
-    let scale = extract_num(text, "scale").ok_or("missing \"scale\"")?;
-    let threads = extract_num(text, "threads").ok_or("missing \"threads\"")? as usize;
-    let array = text
-        .find("\"sweeps\"")
-        .and_then(|i| {
-            let open = text[i..].find('[')? + i;
-            let close = text[open..].find(']')? + open;
-            Some(&text[open + 1..close])
-        })
-        .ok_or("missing \"sweeps\" array")?;
+    let count = |v: &JsonValue| v.as_u64().and_then(|n| usize::try_from(n).ok());
+    let number = |v: &JsonValue| v.num_text()?.parse::<f64>().ok();
+    let string = |v: &JsonValue| v.as_str().map(String::from);
     let mut sweeps = Vec::new();
-    for obj in split_objects(array) {
+    for obj in member(&doc, "sweeps", "an array", JsonValue::as_array)? {
         sweeps.push(SweepRecord {
-            name: extract_str(obj, "name").ok_or("sweep without \"name\"")?,
-            wall_s: extract_num(obj, "wall_s").ok_or("sweep without \"wall_s\"")?,
-            rows: extract_num(obj, "rows").ok_or("sweep without \"rows\"")? as usize,
-            checksum: extract_str(obj, "checksum").ok_or("sweep without \"checksum\"")?,
+            name: member(obj, "name", "a string", string)?,
+            wall_s: member(obj, "wall_s", "a number", number)?,
+            rows: member(obj, "rows", "an unsigned integer", count)?,
+            checksum: member(obj, "checksum", "a string", string)?,
         });
     }
     if sweeps.is_empty() {
         return Err("baseline records no sweeps".to_string());
     }
     Ok(Baseline {
-        scale,
-        threads,
+        scale: member(&doc, "scale", "a number", number)?,
+        threads: member(&doc, "threads", "an unsigned integer", count)?,
         sweeps,
     })
 }
 
-/// Top-level `{…}` object slices inside an array body (no nested
-/// objects or braces-in-strings in this schema, so depth counting is
-/// exact).
-fn split_objects(array: &str) -> Vec<&str> {
-    let mut objects = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in array.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    objects.push(&array[start..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    objects
-}
-
-fn extract_num(text: &str, key: &str) -> Option<f64> {
-    let rest = after_key(text, key)?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn extract_str(text: &str, key: &str) -> Option<String> {
-    let rest = after_key(text, key)?;
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn after_key<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let pat = format!("\"{key}\":");
-    let idx = text.find(&pat)? + pat.len();
-    Some(text[idx..].trim_start())
+/// Reads member `key` of `obj` through `read`, naming the key and the
+/// expected kind (`what`) when it is missing or of another kind.
+fn member<'v, T>(
+    obj: &'v JsonValue,
+    key: &str,
+    what: &str,
+    read: impl FnOnce(&'v JsonValue) -> Option<T>,
+) -> Result<T, String> {
+    let value = obj.get(key).ok_or_else(|| format!("missing \"{key}\""))?;
+    read(value).ok_or_else(|| format!("\"{key}\" is not {what}"))
 }
 
 /// The canned plan a baseline sweep name corresponds to, or `None` for
@@ -442,11 +401,43 @@ mod tests {
     }
 
     #[test]
+    fn parses_every_document_the_recorder_can_write() {
+        let names = [
+            "fig6",
+            "brace}inside",
+            "{\"nested\": [1]}",
+            "quote\"and\\backslash",
+            "tab\tnew\nline\u{1}ctl",
+            "snow\u{2603}",
+            "",
+        ];
+        let threads = (1usize << 53) + 1; // not representable as an f64
+        let mut rec = Recorder::new(0.1 + 0.2, threads);
+        for (i, name) in names.iter().enumerate() {
+            let wall = Duration::from_micros(123_457 * i as u64);
+            rec.add_raw(name, wall, i * 1_000_003, u64::MAX - i as u64);
+        }
+        let b = parse_baseline(&rec.to_json()).unwrap();
+        assert_eq!(b.scale, 0.1 + 0.2);
+        assert_eq!(b.threads, threads);
+        assert_eq!(b.sweeps.len(), names.len());
+        for (got, want) in b.sweeps.iter().zip(rec.sweeps()) {
+            assert_eq!(got.name, want.name);
+            assert_eq!(got.rows, want.rows);
+            assert_eq!(got.checksum, want.checksum);
+            assert!((got.wall_s - want.wall_s).abs() < 1e-6, "{got:?}");
+        }
+    }
+
+    #[test]
     fn rejects_malformed_documents() {
         assert!(parse_baseline("{}").is_err());
         assert!(parse_baseline("{\"schema\": 2, \"scale\": 1, \"threads\": 1}").is_err());
         let empty = "{\"schema\": 1, \"scale\": 1, \"threads\": 1, \"sweeps\": []}";
         assert!(parse_baseline(empty).is_err());
+        let fractional = "{\"schema\": 1, \"scale\": 1, \"threads\": 1.5, \"sweeps\": \
+            [{\"name\": \"x\", \"wall_s\": 1, \"rows\": 1, \"checksum\": \"aa\"}]}";
+        assert!(parse_baseline(fractional).unwrap_err().contains("threads"));
     }
 
     #[test]

@@ -47,8 +47,10 @@ use crate::sink::{PlanMeta, RecordSink};
 use mot3d_mem::dram::DramKind;
 use mot3d_mot::PowerState;
 use mot3d_sim::{run_spec, InterconnectChoice, Metrics, SimConfig};
+use mot3d_trace::TraceError;
 use mot3d_workloads::{SplashBenchmark, WorkloadSource, WorkloadSpec};
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -232,9 +234,9 @@ impl ExperimentPlan {
         self
     }
 
-    /// Pins the worker-thread count (default: the `MOT3D_THREADS` /
-    /// available-parallelism resolution of [`pool::worker_threads`]).
-    /// Results are bit-identical for every choice.
+    /// Pins the worker-thread count (default: the available
+    /// parallelism, see [`pool::worker_threads`]). Results are
+    /// bit-identical for every choice.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -353,6 +355,63 @@ impl ExperimentPlan {
         sinks: &mut [&mut dyn RecordSink],
         progress: impl Fn(usize, usize, &str) + Sync,
     ) -> std::io::Result<Vec<RunRecord>> {
+        self.execute(sinks, progress, |p| Ok(run_spec(&p.spec, &p.config)?))
+    }
+
+    /// [`ExperimentPlan::run_with`] with a tracer attached to every
+    /// point: writes one Perfetto-loadable trace file per [`RunPoint`]
+    /// into `trace_dir` (created if needed), named by
+    /// [`mot3d_trace::trace_file_name`] of the point's label. Points run
+    /// on the same worker pool at the plan's thread count, and records
+    /// stream through the sinks in expansion order exactly as the
+    /// untraced path does — because tracing is observation-only, they
+    /// are bit-identical to the untraced run's (pinned by
+    /// `tests/trace_equivalence.rs`).
+    ///
+    /// Returns the records plus the trace file path of each point, in
+    /// expansion order.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidInput` when the plan fails
+    /// [`ExperimentPlan::check`], or the first trace/sink I/O error (no
+    /// records after a failed trace are written).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator rejects a point (as
+    /// [`ExperimentPlan::run_with`] does); the partial trace of the
+    /// failing point is sealed and kept for diagnosis.
+    pub fn run_traced_with(
+        &self,
+        trace_dir: &Path,
+        sinks: &mut [&mut dyn RecordSink],
+        progress: impl Fn(usize, usize, &str) + Sync,
+    ) -> std::io::Result<Vec<(RunRecord, PathBuf)>> {
+        let path_of = |p: &RunPoint| trace_dir.join(mot3d_trace::trace_file_name(&p.label()));
+        let records = self.execute(sinks, progress, |p| {
+            std::fs::create_dir_all(trace_dir)?;
+            Ok(mot3d_trace::trace_spec(&p.spec, &p.config, path_of(p))?.0)
+        })?;
+        Ok(records
+            .into_iter()
+            .map(|r| {
+                let path = path_of(&r.point);
+                (r, path)
+            })
+            .collect())
+    }
+
+    /// The one run loop behind [`ExperimentPlan::run_with`] and
+    /// [`ExperimentPlan::run_traced_with`]: check, begin the sinks, run
+    /// every point through `run_point` on the worker pool, emit records
+    /// in expansion order, finish the sinks.
+    fn execute(
+        &self,
+        sinks: &mut [&mut dyn RecordSink],
+        progress: impl Fn(usize, usize, &str) + Sync,
+        run_point: impl Fn(&RunPoint) -> Result<Metrics, TraceError> + Sync,
+    ) -> std::io::Result<Vec<RunRecord>> {
         if let Err(msg) = self.check() {
             return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
         }
@@ -373,6 +432,7 @@ impl ExperimentPlan {
             next: 0,
             pending: BTreeMap::new(),
             sinks,
+            stopped: false,
             err: None,
         });
         let records = pool::parallel_map_streamed_on(
@@ -380,23 +440,26 @@ impl ExperimentPlan {
             total,
             |i| {
                 let p = &points[i];
-                let metrics =
-                    run_spec(&p.spec, &p.config).unwrap_or_else(|e| panic!("{}: {e}", p.label()));
-                RunRecord::new(p.clone(), metrics)
+                match run_point(p) {
+                    Ok(metrics) => Ok(RunRecord::new(p.clone(), metrics)),
+                    Err(TraceError::Io(e)) => Err(e),
+                    Err(TraceError::Sim(e)) => panic!("{}: {e}", p.label()),
+                }
             },
-            |i, record| {
+            |i, record: &std::io::Result<RunRecord>| {
                 let k = done.fetch_add(1, Ordering::Relaxed) + 1;
                 progress(k, total, &points[i].label());
                 emitter
                     .lock()
                     .expect("emitter lock not poisoned")
-                    .push(i, record.clone());
+                    .push(i, record.as_ref().ok().cloned());
             },
         );
         let mut emitter = emitter.into_inner().expect("emitter lock not poisoned");
         if let Some(err) = emitter.err.take() {
             return Err(err);
         }
+        let records = records.into_iter().collect::<std::io::Result<Vec<_>>>()?;
         for sink in emitter.sinks.iter_mut() {
             sink.finish()?;
         }
@@ -405,95 +468,32 @@ impl ExperimentPlan {
         mot3d_sim::shrink_local_pool(8);
         Ok(records)
     }
-
-    /// [`ExperimentPlan::run_with`] with a tracer attached to every
-    /// point: writes one Perfetto-loadable trace file per [`RunPoint`]
-    /// into `trace_dir` (created if needed), named by
-    /// [`mot3d_trace::trace_file_name`] of the point's label. Records
-    /// stream through the sinks in expansion order exactly as the
-    /// untraced path does — and because tracing is observation-only,
-    /// they are bit-identical to the untraced run's (pinned by
-    /// `tests/trace_equivalence.rs`). Points run serially: a deep dive
-    /// trades throughput for one coherent timeline per file.
-    ///
-    /// Returns the records plus the trace file path of each point, in
-    /// expansion order.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidInput` when the plan fails
-    /// [`ExperimentPlan::check`], or the first trace/sink I/O error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator rejects a point (as
-    /// [`ExperimentPlan::run_with`] does); the partial trace of the
-    /// failing point is sealed and kept for diagnosis.
-    pub fn run_traced_with(
-        &self,
-        trace_dir: &std::path::Path,
-        sinks: &mut [&mut dyn RecordSink],
-        progress: impl Fn(usize, usize, &str),
-    ) -> std::io::Result<Vec<(RunRecord, std::path::PathBuf)>> {
-        if let Err(msg) = self.check() {
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
-        }
-        std::fs::create_dir_all(trace_dir)?;
-        let points = self.points();
-        let total = points.len();
-        let meta = PlanMeta {
-            plan: &self.name,
-            points: total,
-            scale: self.scale.scale,
-            seed: self.scale.seed,
-        };
-        for sink in sinks.iter_mut() {
-            sink.begin(&meta)?;
-        }
-        let mut records = Vec::with_capacity(total);
-        for (i, p) in points.iter().enumerate() {
-            let path = trace_dir.join(mot3d_trace::trace_file_name(&p.label()));
-            let metrics = match mot3d_trace::trace_spec(&p.spec, &p.config, &path) {
-                Ok((metrics, _summary)) => metrics,
-                Err(mot3d_trace::TraceError::Io(e)) => return Err(e),
-                Err(mot3d_trace::TraceError::Sim(e)) => panic!("{}: {e}", p.label()),
-            };
-            let record = RunRecord::new(p.clone(), metrics);
-            progress(i + 1, total, &p.label());
-            for sink in sinks.iter_mut() {
-                sink.record(&record)?;
-            }
-            records.push((record, path));
-        }
-        for sink in sinks.iter_mut() {
-            sink.finish()?;
-        }
-        // Traced runs use fresh clusters (observer state is per-run),
-        // so there is no pool growth to shrink back here.
-        Ok(records)
-    }
 }
 
 /// Reorders completion-order records back into expansion order and
-/// feeds the contiguous prefix to the sinks as it grows.
+/// feeds the contiguous prefix to the sinks as it grows. A failed point
+/// (`None`) or sink write stops the writing; later records still drain.
 struct Emitter<'a, 'b> {
     next: usize,
-    pending: BTreeMap<usize, RunRecord>,
+    pending: BTreeMap<usize, Option<RunRecord>>,
     sinks: &'a mut [&'b mut dyn RecordSink],
+    stopped: bool,
     err: Option<std::io::Error>,
 }
 
 impl Emitter<'_, '_> {
-    fn push(&mut self, index: usize, record: RunRecord) {
+    fn push(&mut self, index: usize, record: Option<RunRecord>) {
         self.pending.insert(index, record);
         while let Some(record) = self.pending.remove(&self.next) {
             self.next += 1;
-            if self.err.is_some() {
-                continue; // keep draining, stop writing
-            }
+            let Some(record) = record.filter(|_| !self.stopped) else {
+                self.stopped = true;
+                continue;
+            };
             for sink in self.sinks.iter_mut() {
                 if let Err(e) = sink.record(&record) {
                     self.err = Some(e);
+                    self.stopped = true;
                     break;
                 }
             }

@@ -6,12 +6,13 @@
 //! The serial references below are verbatim ports of the pre-plan
 //! per-figure loops (`fig6`, `fig7_at`, `open_page_at` as they were
 //! before the API redesign): a plain `run_benchmark` loop in the same
-//! cell order, no pool, no plan. If a plan refactor ever reorders a
+//! cell order, no pool, no plan. The planned side is the canned plan
+//! folded by its `*_rows` function. If a plan refactor ever reorders a
 //! grid or perturbs a configuration, these tests catch it at
 //! `ExperimentScale::tiny()`.
 
 use mot3d_bench::experiments::{
-    fig6, fig6_interconnects, fig7_at, fig7_rows, open_page_at, ExperimentScale, Fig6Row, Fig7Row,
+    fig6_interconnects, fig6_rows, fig7_rows, open_page_rows, ExperimentScale, Fig6Row, Fig7Row,
     OpenPageRow,
 };
 use mot3d_bench::plan::ExperimentPlan;
@@ -25,6 +26,11 @@ fn base_config(seed: u64) -> SimConfig {
     let mut cfg = SimConfig::date16();
     cfg.seed = seed;
     cfg
+}
+
+/// The canned Fig. 7-shape plan folded into rows.
+fn planned_fig7(scale: ExperimentScale, dram: DramKind) -> Vec<Fig7Row> {
+    fig7_rows(&ExperimentPlan::fig7_at(scale, dram).run().unwrap())
 }
 
 fn must_run(bench: SplashBenchmark, scale: f64, cfg: &SimConfig) -> Metrics {
@@ -106,7 +112,7 @@ fn legacy_open_page_at(scale: ExperimentScale, dram: DramKind) -> Vec<OpenPageRo
 fn fig6_plan_reproduces_the_legacy_rows_and_table() {
     let scale = ExperimentScale::tiny();
     let legacy = legacy_fig6(scale);
-    let planned = fig6(scale);
+    let planned = fig6_rows(&ExperimentPlan::fig6(scale).run().unwrap());
     assert_eq!(legacy, planned, "fig6 rows must be bit-identical");
     assert_eq!(
         report::render_fig6(&legacy),
@@ -119,7 +125,7 @@ fn fig6_plan_reproduces_the_legacy_rows_and_table() {
 fn fig7_plan_reproduces_the_legacy_rows_and_table() {
     let scale = ExperimentScale::tiny();
     let legacy = legacy_fig7_at(scale, DramKind::OffChipDdr3);
-    let planned = fig7_at(scale, DramKind::OffChipDdr3);
+    let planned = planned_fig7(scale, DramKind::OffChipDdr3);
     assert_eq!(legacy, planned, "fig7 rows must be bit-identical");
     assert_eq!(
         report::render_fig7(&legacy, "200 ns"),
@@ -141,7 +147,7 @@ fn fig8_plans_reproduce_the_legacy_rows_and_tables() {
         (DramKind::Weis3d, "42 ns (Weis 3-D)"),
     ] {
         let legacy = legacy_fig7_at(scale, dram);
-        let planned = fig7_at(scale, dram);
+        let planned = planned_fig7(scale, dram);
         assert_eq!(legacy, planned, "fig8 rows must be bit-identical @ {label}");
         assert_eq!(
             report::render_fig7(&legacy, label),
@@ -155,7 +161,11 @@ fn fig8_plans_reproduce_the_legacy_rows_and_tables() {
 fn open_page_plan_reproduces_the_legacy_rows_and_table() {
     let scale = ExperimentScale::tiny();
     let legacy = legacy_open_page_at(scale, DramKind::OffChipDdr3);
-    let planned = open_page_at(scale, DramKind::OffChipDdr3);
+    let planned = open_page_rows(
+        &ExperimentPlan::open_page_at(scale, DramKind::OffChipDdr3)
+            .run()
+            .unwrap(),
+    );
     assert_eq!(legacy, planned, "open-page rows must be bit-identical");
     assert_eq!(
         report::render_open_page(&legacy, "200 ns"),
@@ -166,8 +176,8 @@ fn open_page_plan_reproduces_the_legacy_rows_and_table() {
 
 #[test]
 fn plan_expansion_and_results_are_invariant_under_thread_count() {
-    // The property the old suite pinned via MOT3D_THREADS, now provable
-    // without env-var races: the plan pins its worker count explicitly.
+    // The plan pins its worker count explicitly; neither expansion
+    // order nor results may depend on it.
     let scale = ExperimentScale::tiny();
     let reference_points = ExperimentPlan::fig7(scale).points();
     let reference = ExperimentPlan::fig7(scale).threads(1).run().unwrap();
@@ -185,7 +195,10 @@ fn plan_expansion_and_results_are_invariant_under_thread_count() {
         );
     }
     // And the figure-shaped fold sees the same thing.
-    assert_eq!(fig7_rows(&reference), fig7_at(scale, DramKind::OffChipDdr3));
+    assert_eq!(
+        fig7_rows(&reference),
+        planned_fig7(scale, DramKind::OffChipDdr3)
+    );
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Tracing is observation-only at the plan layer too: a traced sweep
-//! (`run_traced_with`, serial, fresh clusters, one trace file per
-//! point) must produce record streams **bit-identical** to the pooled
-//! untraced sweep — the same `RunRecord`s in the same order, folding to
-//! the same FNV checksum over the exact JSON-lines bytes a sink writes.
+//! (`run_traced_with`: the same worker pool and cached clusters, one
+//! trace file per point) must produce record streams **bit-identical**
+//! to the untraced sweep — the same `RunRecord`s in the same order,
+//! folding to the same FNV checksum over the exact JSON-lines bytes a
+//! sink writes — and the same trace files at any thread count.
 
 use mot3d_bench::plan::ExperimentPlan;
-use mot3d_bench::sink::record_json_line;
+use mot3d_bench::sink::{record_json_line, JsonLinesSink};
 use mot3d_bench::ExperimentScale;
 use mot3d_mot::PowerState;
 use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
@@ -28,7 +29,6 @@ fn stream_checksum(records: &[mot3d_bench::plan::RunRecord]) -> u64 {
 
 #[test]
 fn traced_sweeps_match_untraced_sweeps_bit_for_bit() {
-    let dir = scratch_dir("grid");
     let plan = || {
         ExperimentPlan::new("trace-eq")
             .splash([SplashBenchmark::Fft, SplashBenchmark::Radix])
@@ -37,21 +37,44 @@ fn traced_sweeps_match_untraced_sweeps_bit_for_bit() {
     };
 
     let untraced = plan().run().unwrap();
-    let traced = plan().run_traced_with(&dir, &mut [], |_, _, _| {}).unwrap();
-
+    let mut untraced_stream = Vec::new();
+    plan()
+        .run_with(
+            &mut [&mut JsonLinesSink::new(&mut untraced_stream)],
+            |_, _, _| {},
+        )
+        .unwrap();
     assert_eq!(untraced.len(), 4, "2 benches × 2 power states");
-    assert_eq!(traced.len(), untraced.len());
-    for ((record, trace_path), reference) in traced.iter().zip(&untraced) {
-        assert_eq!(record, reference, "{}", reference.point.label());
-        assert!(trace_path.exists(), "{}", trace_path.display());
+
+    // Serial and pooled traced sweeps: the same records, stream bytes
+    // and trace files.
+    let mut trace_files = Vec::new();
+    for threads in [1, 2] {
+        let dir = scratch_dir(&format!("grid-{threads}"));
+        let mut stream = Vec::new();
+        let traced = plan()
+            .threads(threads)
+            .run_traced_with(
+                &dir,
+                &mut [&mut JsonLinesSink::new(&mut stream)],
+                |_, _, _| {},
+            )
+            .unwrap();
+        assert_eq!(stream, untraced_stream, "threads = {threads}");
+        let (records, paths): (Vec<_>, Vec<_>) = traced.into_iter().unzip();
+        assert_eq!(records, untraced, "threads = {threads}");
+        // The serialized streams fold to the same checksum — tracing
+        // cannot perturb what `mot3d sweep --json` (or the serve stream)
+        // emits.
+        assert_eq!(stream_checksum(&records), stream_checksum(&untraced));
+        let files: Vec<_> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+        trace_files.push(files);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-
-    // The serialized streams fold to the same checksum — tracing cannot
-    // perturb what `mot3d sweep --json` (or the serve stream) emits.
-    let traced_records: Vec<_> = traced.into_iter().map(|(r, _)| r).collect();
-    assert_eq!(stream_checksum(&traced_records), stream_checksum(&untraced));
-
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(
+        trace_files[0] == trace_files[1],
+        "trace files differ between 1 and 2 threads"
+    );
 }
 
 #[test]

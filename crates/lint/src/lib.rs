@@ -240,7 +240,7 @@ USAGE: mot3d-lint [--root <dir>] [--json [path]] [--deny]
   --deny         exit 1 when any unsuppressed finding remains (CI gate)
 
 Rules: D1 default-hasher maps · D2 hash-order iteration on report paths ·
-D3 clock/env reads outside bench timing modules · A1 allocation in
+D3 clock/env reads outside the perf sink and serve CLI · A1 allocation in
 `// mot3d-lint: no-alloc` regions · P1 unwrap/expect/panic! in library
 code · H1 BinaryHeap in hot-path crates · H2 wall-clock reads in trace
 code · S1 malformed markers. Suppress with

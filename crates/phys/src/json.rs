@@ -1,12 +1,15 @@
-//! A minimal JSON reader/writer for the wire protocol and the store.
+//! The workspace's one JSON reader/writer: the wire protocol, the
+//! result store, the perf baseline and the trace writer all go through
+//! it.
 //!
-//! The workspace has no external dependencies, and the documents this
-//! crate exchanges are small one-line objects, so a ~200-line recursive
-//! descent parser is the whole story. One deliberate quirk: numbers are
-//! kept as their **raw source text** ([`JsonValue::Num`]), because the
-//! result store round-trips `f64`s as exact `to_bits` integers — a
-//! detour through lossy float parsing would break the byte-identity
-//! contract.
+//! The workspace has no external dependencies, and the documents it
+//! exchanges are small, so a ~200-line recursive descent parser is the
+//! whole story. Nesting is capped at [`MAX_DEPTH`] levels, so a hostile
+//! document (a megabyte of `[`) is rejected with an `Err` instead of
+//! overflowing the stack. One deliberate quirk: numbers are kept as
+//! their **raw source text** ([`JsonValue::Num`]), because the result
+//! store round-trips `f64`s as exact `to_bits` integers — a detour
+//! through lossy float parsing would break the byte-identity contract.
 
 use std::fmt::Write as _;
 
@@ -79,9 +82,13 @@ impl JsonValue {
     }
 }
 
-/// Serialises a string as a JSON string literal (quotes + escapes).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Deepest array/object nesting [`parse`] accepts — far more than any
+/// document the workspace writes.
+pub const MAX_DEPTH: usize = 128;
+
+/// Appends `s` to `out` as a JSON string literal (quotes + escapes) —
+/// the workspace's single escaper.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -97,6 +104,12 @@ pub fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
+}
+
+/// Serialises a string as a JSON string literal (see [`write_string`]).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_string(&mut out, s);
     out
 }
 
@@ -104,11 +117,13 @@ pub fn json_string(s: &str) -> String {
 ///
 /// # Errors
 ///
-/// Returns a human-readable description with a byte offset.
+/// Returns a human-readable description with a byte offset, also for
+/// documents nested deeper than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -122,6 +137,8 @@ pub fn parse(src: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -159,12 +176,29 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one container, refusing to open more than [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<JsonValue, String> {
@@ -373,6 +407,30 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A 2 MB stack, as a service worker thread gets: without the
+        // depth cap a megabyte of `[` aborts the whole process.
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mb = 1 << 20;
+                let arrays = "[".repeat(mb);
+                let objects = "{\"a\":".repeat(mb / 5);
+                (parse(&arrays), parse(&objects))
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        for err in [outcome.0, outcome.1] {
+            assert!(err.unwrap_err().contains("nesting deeper"));
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(parse(&over).is_err());
     }
 
     #[test]

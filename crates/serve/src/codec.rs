@@ -19,11 +19,11 @@
 //! fields travel as `to_bits()` integers; nothing takes a lossy float
 //! detour.
 
-use crate::json::{self, json_string, JsonValue};
 use mot3d_bench::axes;
 use mot3d_bench::plan::RunPoint;
 use mot3d_mot::traits::InterconnectStats;
 use mot3d_phys::fnv::{fnv1a64_fold, FNV_OFFSET};
+use mot3d_phys::json::{self, json_string, JsonValue};
 use mot3d_phys::power::EnergyBreakdown;
 use mot3d_phys::units::{Joules, Seconds};
 use mot3d_sim::metrics::LatencyStats;

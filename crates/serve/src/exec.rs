@@ -245,6 +245,12 @@ impl CachedExecutor {
         &self.faults
     }
 
+    /// The pinned worker count per submission (`None`: the pool's own
+    /// resolution).
+    pub fn threads(&self) -> Option<usize> {
+        self.threads
+    }
+
     /// Total execution attempts this process has made (cache hits and
     /// deduped waits don't count; failed attempts do).
     pub fn executed_total(&self) -> u64 {

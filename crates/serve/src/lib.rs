@@ -50,7 +50,6 @@ pub mod client;
 pub mod codec;
 pub mod exec;
 pub mod fault;
-pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod store;

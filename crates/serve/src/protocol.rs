@@ -39,11 +39,11 @@
 //! [`RunRecord`]: mot3d_bench::plan::RunRecord
 
 use crate::exec::PlanOutcome;
-use crate::json::{self, json_string, JsonValue};
 use crate::store::StoreStats;
 use mot3d_bench::axes;
 use mot3d_bench::plan::ExperimentPlan;
 use mot3d_bench::ExperimentScale;
+use mot3d_phys::json::{self, json_string, JsonValue};
 use std::fmt::Write as _;
 
 /// A parsed submission: the plan name plus optional axis selections,

@@ -352,9 +352,10 @@ fn respond(
     Ok(())
 }
 
-/// Serves a `"trace": true` submission: every point runs fresh with the
-/// timeline tracer attached, bypassing the result cache and the
-/// in-flight table entirely — a cache hit has no timeline to write, and
+/// Serves a `"trace": true` submission: every point is simulated again,
+/// on the submission's worker pool, with the timeline tracer attached,
+/// bypassing the result cache and the in-flight table entirely — a
+/// cache hit has no timeline to write, and
 /// traced records are bit-identical to cached ones anyway (tracing is
 /// observation-only). One Perfetto-loadable file lands per point under
 /// `<store_dir>/traces/<plan>-<scale>-<seed>/`; the summary line
@@ -375,6 +376,10 @@ fn respond_traced(
         // The record stream stays the exact `mot3d sweep --json` bytes;
         // `run_traced_with` drives begin/record/finish itself.
         let mut sink = JsonLinesSink::new(&mut *out);
+        let plan = match exec.threads() {
+            Some(t) => plan.clone().threads(t),
+            None => plan.clone(),
+        };
         plan.run_traced_with(&dir, &mut [&mut sink], |_, _, _| {})?
     };
     let n = records.len() as u64;

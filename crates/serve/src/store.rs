@@ -26,8 +26,8 @@
 
 use crate::codec::{self, CacheKey};
 use crate::fault::{FaultSite, Faults};
-use crate::json::{self, JsonValue};
 use mot3d_phys::fnv::FnvHashMap;
+use mot3d_phys::json::{self, JsonValue};
 use mot3d_sim::Metrics;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};

@@ -1261,22 +1261,13 @@ impl Cluster {
     /// between the last event before `cycle` and `cycle` itself change
     /// nothing.
     pub fn run_until(&mut self, cycle: u64) {
-        self.run_until_with(cycle, &mut NullObserver);
-    }
-
-    /// [`Cluster::run_until`] with an [`Observer`] (see
-    /// [`Cluster::run_to_completion_with`] for the sampling contract).
-    pub fn run_until_with<O: Observer>(&mut self, cycle: u64, obs: &mut O) {
         while !self.is_done() && self.now < cycle {
             match self.next_wake() {
                 Some(wake) if wake < cycle => {
                     if wake > self.now {
                         self.now = wake;
                     }
-                    self.step_with(obs);
-                    if O::ENABLED {
-                        obs.maintain();
-                    }
+                    self.step();
                 }
                 _ => self.now = cycle,
             }

@@ -13,9 +13,9 @@ use crate::cluster::Cluster;
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::metrics::Metrics;
-use crate::observe::Observer;
+use crate::observe::{NullObserver, Observer};
 use mot3d_phys::fnv::FnvHashMap;
-use mot3d_workloads::{streams, SplashBenchmark, WorkloadSource, WorkloadSpec};
+use mot3d_workloads::{streams, SplashBenchmark, WorkloadSpec};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 
@@ -178,6 +178,23 @@ impl ClusterPool {
         spec: &WorkloadSpec,
         config: &SimConfig,
     ) -> Result<Metrics, SimError> {
+        self.run_spec_with(spec, config, &mut NullObserver)
+    }
+
+    /// [`ClusterPool::run_spec`] with an [`Observer`] attached to the
+    /// run loop. A reset cluster behaves exactly like a new one, so the
+    /// observer sees the same timeline either way, and with
+    /// [`NullObserver`] every hook compiles away.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`SimError`] from construction, reset, or the run.
+    pub fn run_spec_with<O: Observer>(
+        &mut self,
+        spec: &WorkloadSpec,
+        config: &SimConfig,
+        obs: &mut O,
+    ) -> Result<Metrics, SimError> {
         let active = config.power_state.active_cores();
         let fresh = streams(spec, active, config.seed);
         self.tick += 1;
@@ -185,7 +202,7 @@ impl ClusterPool {
         if self.capacity == Some(0) {
             // Degenerate bound: never cache, run on a throwaway cluster.
             let mut cluster = Cluster::new(*config, fresh)?;
-            return Self::finish_run(&mut cluster, spec, config);
+            return Self::finish_run(&mut cluster, spec, config, obs);
         }
         let cluster = match self.clusters.entry(*config) {
             Entry::Occupied(e) => {
@@ -202,7 +219,7 @@ impl ClusterPool {
                 &mut entry.cluster
             }
         };
-        let metrics = Self::finish_run(cluster, spec, config)?;
+        let metrics = Self::finish_run(cluster, spec, config, obs)?;
         if let Some(cap) = self.capacity {
             self.shrink_to(cap);
         }
@@ -210,35 +227,18 @@ impl ClusterPool {
     }
 
     /// Shared tail of a run: drive to completion, verify, label.
-    fn finish_run(
+    fn finish_run<O: Observer>(
         cluster: &mut Cluster,
         spec: &WorkloadSpec,
         config: &SimConfig,
+        obs: &mut O,
     ) -> Result<Metrics, SimError> {
-        cluster.run_to_completion()?;
+        cluster.run_to_completion_with(obs)?;
         cluster.verify_against_golden();
         Ok(cluster.metrics(format!(
             "{} @ {} @ {} @ {}",
             spec.name, config.interconnect, config.power_state, config.dram
         )))
-    }
-
-    /// Runs a [`WorkloadSource`] at length `scale` on a configuration,
-    /// resolving the source to its concrete spec first (see
-    /// [`WorkloadSource::resolve`]). This is the entry point the
-    /// declarative experiment plans use, so a plan axis can name any
-    /// workload backend — synthetic preset today, trace-driven tomorrow.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SimError`] from construction, reset, or the run.
-    pub fn run_source(
-        &mut self,
-        source: &dyn WorkloadSource,
-        scale: f64,
-        config: &SimConfig,
-    ) -> Result<Metrics, SimError> {
-        self.run_spec(&source.resolve(scale), config)
     }
 }
 
@@ -273,14 +273,10 @@ pub fn run_spec(spec: &WorkloadSpec, config: &SimConfig) -> Result<Metrics, SimE
 }
 
 /// [`run_spec`] with an [`Observer`] attached to the run loop — the
-/// entry point `mot3d_trace` (and any other instrumentation) uses.
-///
-/// Runs on a **fresh** cluster rather than the thread-local pool: an
-/// observed run is a deep dive, and skipping the pool keeps the
-/// observer's timeline starting from the cluster's as-constructed state.
-/// The simulation itself is bit-identical either way (a reset cluster
-/// behaves exactly like a new one — pinned by the pool's own tests and
-/// by `mot3d_trace`'s differential suite).
+/// entry point `mot3d_trace` (and any other instrumentation) uses. Runs
+/// on the same thread-local [`ClusterPool`] through
+/// [`ClusterPool::run_spec_with`], so an observed run reuses the cached
+/// cluster and its metrics are bit-identical to [`run_spec`]'s.
 ///
 /// # Errors
 ///
@@ -290,40 +286,7 @@ pub fn run_spec_observed<O: Observer>(
     config: &SimConfig,
     obs: &mut O,
 ) -> Result<Metrics, SimError> {
-    let active = config.power_state.active_cores();
-    let fresh = streams(spec, active, config.seed);
-    let mut cluster = Cluster::new(*config, fresh)?;
-    cluster.run_to_completion_with(obs)?;
-    cluster.verify_against_golden();
-    Ok(cluster.metrics(format!(
-        "{} @ {} @ {} @ {}",
-        spec.name, config.interconnect, config.power_state, config.dram
-    )))
-}
-
-/// [`run_spec`] for a [`WorkloadSource`]: resolves the source at length
-/// `scale` and runs it on the thread-local [`ClusterPool`].
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from construction or the run.
-///
-/// # Examples
-///
-/// ```
-/// use mot3d_sim::{run_source, SimConfig};
-/// use mot3d_workloads::SplashBenchmark;
-///
-/// let m = run_source(&SplashBenchmark::Fft, 0.002, &SimConfig::date16())?;
-/// assert!(m.cycles > 0);
-/// # Ok::<(), mot3d_sim::SimError>(())
-/// ```
-pub fn run_source(
-    source: &dyn WorkloadSource,
-    scale: f64,
-    config: &SimConfig,
-) -> Result<Metrics, SimError> {
-    POOL.with(|pool| pool.borrow_mut().run_source(source, scale, config))
+    POOL.with(|pool| pool.borrow_mut().run_spec_with(spec, config, obs))
 }
 
 /// Shrinks the calling thread's [`run_spec`] cluster cache to at most
@@ -460,15 +423,6 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(capped.len(), 1);
-    }
-
-    #[test]
-    fn run_source_matches_run_spec() {
-        let bench = SplashBenchmark::Fmm;
-        let cfg = SimConfig::date16();
-        let via_source = run_source(&bench, 0.002, &cfg).unwrap();
-        let via_spec = run_spec(&bench.spec().scaled(0.002), &cfg).unwrap();
-        assert_eq!(via_source, via_spec);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! displays as 1 µs — lint rule H2 denies `Instant`/`SystemTime` in this
 //! crate).
 
+use mot3d_phys::json::write_string;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
@@ -33,23 +34,6 @@ pub struct TraceWriter {
     buf: String,
     /// Deferred I/O failure, surfaced by [`TraceWriter::finish`].
     err: Option<io::Error>,
-}
-
-/// Escapes `s` into `buf` as JSON string *content* (no quotes).
-fn escape_into(buf: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(buf, "\\u{:04x}", c as u32);
-            }
-            c => buf.push(c),
-        }
-    }
 }
 
 impl TraceWriter {
@@ -95,10 +79,10 @@ impl TraceWriter {
         self.open();
         let _ = write!(
             self.buf,
-            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"args\": {{\"name\": \""
+            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"args\": {{\"name\": "
         );
-        escape_into(&mut self.buf, name);
-        self.buf.push_str("\"}}");
+        write_string(&mut self.buf, name);
+        self.buf.push_str("}}");
     }
 
     /// Names thread (track) `tid` inside process `pid`.
@@ -106,34 +90,34 @@ impl TraceWriter {
         self.open();
         let _ = write!(
             self.buf,
-            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"name\": \""
+            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"name\": "
         );
-        escape_into(&mut self.buf, name);
-        self.buf.push_str("\"}}");
+        write_string(&mut self.buf, name);
+        self.buf.push_str("}}");
     }
 
     /// Opens a duration span named `name` on track (`pid`, `tid`).
     pub fn span_begin(&mut self, pid: u32, tid: u32, ts: u64, name: &str) {
         self.open();
-        self.buf.push_str("{\"name\": \"");
-        escape_into(&mut self.buf, name);
+        self.buf.push_str("{\"name\": ");
+        write_string(&mut self.buf, name);
         let _ = write!(
             self.buf,
-            "\", \"cat\": \"state\", \"ph\": \"B\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts}}}"
+            ", \"cat\": \"state\", \"ph\": \"B\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts}}}"
         );
     }
 
     /// Opens a span carrying one integer argument (e.g. a DRAM row).
     pub fn span_begin_arg(&mut self, pid: u32, tid: u32, ts: u64, name: &str, key: &str, val: u64) {
         self.open();
-        self.buf.push_str("{\"name\": \"");
-        escape_into(&mut self.buf, name);
+        self.buf.push_str("{\"name\": ");
+        write_string(&mut self.buf, name);
         let _ = write!(
             self.buf,
-            "\", \"cat\": \"state\", \"ph\": \"B\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\""
+            ", \"cat\": \"state\", \"ph\": \"B\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{"
         );
-        escape_into(&mut self.buf, key);
-        let _ = write!(self.buf, "\": {val}}}}}");
+        write_string(&mut self.buf, key);
+        let _ = write!(self.buf, ": {val}}}}}");
     }
 
     /// Closes the innermost open span on track (`pid`, `tid`).
@@ -148,11 +132,11 @@ impl TraceWriter {
     /// Samples the integer counter `name` on (`pid`, `tid`).
     pub fn counter_u64(&mut self, pid: u32, tid: u32, ts: u64, name: &str, value: u64) {
         self.open();
-        self.buf.push_str("{\"name\": \"");
-        escape_into(&mut self.buf, name);
+        self.buf.push_str("{\"name\": ");
+        write_string(&mut self.buf, name);
         let _ = write!(
             self.buf,
-            "\", \"ph\": \"C\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"value\": {value}}}}}"
+            ", \"ph\": \"C\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"value\": {value}}}}}"
         );
     }
 
@@ -161,11 +145,11 @@ impl TraceWriter {
     pub fn counter_f64(&mut self, pid: u32, tid: u32, ts: u64, name: &str, value: f64) {
         let value = if value.is_finite() { value } else { 0.0 };
         self.open();
-        self.buf.push_str("{\"name\": \"");
-        escape_into(&mut self.buf, name);
+        self.buf.push_str("{\"name\": ");
+        write_string(&mut self.buf, name);
         let _ = write!(
             self.buf,
-            "\", \"ph\": \"C\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"value\": {value}}}}}"
+            ", \"ph\": \"C\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts}, \"args\": {{\"value\": {value}}}}}"
         );
     }
 
@@ -239,9 +223,18 @@ mod tests {
 
     #[test]
     fn escapes_json_metacharacters_in_names() {
-        let mut buf = String::new();
-        escape_into(&mut buf, "a\"b\\c\nd");
-        assert_eq!(buf, "a\\\"b\\\\c\\nd");
+        let dir = std::env::temp_dir().join(format!("mot3d-trace-esc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("esc.json");
+        let mut w = TraceWriter::create(&path).unwrap();
+        w.process_name(1, "a\"b\\c\nd");
+        w.span_begin_arg(1, 0, 0, "x\"y", "k\\", 1);
+        w.finish().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("{\"name\": \"a\\\"b\\\\c\\nd\"}}"), "{text}");
+        assert!(text.contains("{\"name\": \"x\\\"y\", \"cat\""), "{text}");
+        assert!(text.contains("{\"k\\\\\": 1}}"), "{text}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

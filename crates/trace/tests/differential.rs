@@ -5,8 +5,9 @@
 //! **bit-identical** to the untraced run of the same point. The
 //! untraced side goes through the regular pooled [`run_spec`] path —
 //! exactly what sweeps, the server, and the committed BENCH checksums
-//! use — so this pins both "the observer hook changed nothing" and
-//! "a fresh observed cluster equals a pooled one".
+//! use — and the traced side through the same thread-local pool, so this
+//! pins "the observer hook changed nothing" whether the observed cluster
+//! is new or reset.
 
 use mot3d_mot::PowerState;
 use mot3d_sim::{run_spec, InterconnectChoice, SimConfig};

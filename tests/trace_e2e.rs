@@ -4,9 +4,9 @@
 //! family the tracer promises — the "Perfetto-loadable" acceptance
 //! criterion, checked structurally rather than by eye.
 
+use mot3d::phys::json::{self, JsonValue};
 use mot3d::prelude::*;
 use mot3d::trace::trace_spec;
-use mot3d_serve::json::{self, JsonValue};
 use std::path::PathBuf;
 
 fn scratch_dir() -> PathBuf {
